@@ -1,24 +1,22 @@
-// Fences-per-mutation A/B for the MOD write path + cross-connection group
-// commit (BENCH_groupcommit.json).
+// Fences-per-mutation A/B for the MOD write path (BENCH_groupcommit.json).
 //
 // Two self-hosted legs over identical mixed-write load (10% read / 60%
-// update / 30% insert, zipfian), 16 client threads by default:
+// update / 30% insert, zipfian), 16 client threads by default. Both run the
+// server's one ack path: every mutating batch flushes its deferred ack lines
+// and fences once on the worker that executed it.
 //
-//   baseline    — legacy ordered write path (mod writes off), per-batch ack
-//                 fence in the server (group commit off): every mutation
-//                 pays its own persist fences at the store sites.
-//   groupcommit — out-of-place build + single publish fence in the core,
-//                 ack lines deferred through AckBatch and fenced once per
-//                 commit window across all connections.
+//   mod-off — legacy ordered write path (UPSL_DISABLE_MOD_WRITES): every
+//             mutation pays its own persist fences at the store sites.
+//   mod-on  — out-of-place build + single publish fence in the core, ack
+//             lines deferred through AckBatch and fenced once per batch.
 //
 // The headline metric is total pmem fences divided by client-issued
 // mutations (reader-forced persists included — it is the honest whole-store
-// number). The PR's acceptance gate: >= 5x fewer fences per mutation at 16
-// clients, with p999 batch latency not regressed beyond the commit window.
+// number). Acceptance gate: >= 5x fewer fences per mutation at 16 clients,
+// with p999 batch latency not regressed beyond noise.
 //
 // Knobs: UPSL_BENCH_RECORDS (default 20000), UPSL_BENCH_OPS (default 40000),
-// UPSL_SERVER_CLIENTS (default 16), UPSL_SERVER_DEPTH (default 8),
-// UPSL_COMMIT_WINDOW_US (committer window, default 50).
+// UPSL_SERVER_CLIENTS (default 16), UPSL_SERVER_DEPTH (default 8).
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,7 +30,6 @@
 #include "common/histogram.hpp"
 #include "pmem/ack_batch.hpp"
 #include "server/client.hpp"
-#include "server/group_commit.hpp"
 #include "server/server.hpp"
 #include "ycsb/workload.hpp"
 
@@ -154,15 +151,14 @@ struct LegResult {
 
 /// One self-hosted leg: fresh store + server with the requested write-path
 /// configuration, wire preload, measured mixed-write run.
-LegResult run_leg(bool mod_writes, bool group_commit, std::uint64_t records,
-                  std::uint64_t ops, unsigned clients, std::uint32_t depth) {
+LegResult run_leg(bool mod_writes, std::uint64_t records, std::uint64_t ops,
+                  unsigned clients, std::uint32_t depth) {
   LegResult leg;
   pmem::set_mod_writes_for_testing(mod_writes);
   bench::UPSLAdapter adapter(records, 1, 64, /*max_threads=*/clients + 8);
   server::ServerOptions sopts;
   sopts.port = 0;
   sopts.workers = 4;
-  sopts.group_commit = group_commit;
   server::Server srv(adapter.store(), sopts);
   if (!srv.start()) {
     std::fprintf(stderr, "cannot start in-process server\n");
@@ -208,7 +204,7 @@ void print_leg(const char* name, const LegResult& leg) {
 
 void add_entry(JsonBenchWriter& out, const char* name, const LegResult& leg,
                unsigned clients, std::uint32_t depth, std::uint64_t records,
-               std::uint32_t window_us, JsonBenchWriter::Config extra) {
+               JsonBenchWriter::Config extra) {
   char buf[32];
   JsonBenchWriter::Config cfg;
   std::snprintf(buf, sizeof buf, "%.4f", leg.fences_per_mutation);
@@ -219,12 +215,11 @@ void add_entry(JsonBenchWriter& out, const char* name, const LegResult& leg,
     std::snprintf(buf, sizeof buf, "%.2f",
                   static_cast<double>(leg.group_commit_mutations) /
                       static_cast<double>(leg.group_commits));
-    cfg.emplace_back("gc_batch_avg", buf);
+    cfg.emplace_back("mutations_per_fence", buf);
   }
   cfg.emplace_back("clients", std::to_string(clients));
   cfg.emplace_back("depth", std::to_string(depth));
   cfg.emplace_back("records", std::to_string(records));
-  cfg.emplace_back("window_us", std::to_string(window_us));
   cfg.emplace_back("workload", kMixedWrite.name);
   for (auto& kv : extra) cfg.push_back(std::move(kv));
   bench::append_build_config(cfg);
@@ -244,49 +239,46 @@ int main() {
       static_cast<unsigned>(bench::env_u64("UPSL_SERVER_CLIENTS", 16));
   const auto depth =
       static_cast<std::uint32_t>(bench::env_u64("UPSL_SERVER_DEPTH", 8));
-  const std::uint32_t window_us = server::commit_window_us_from_env(50);
 
   ThreadRegistry::instance().bind(0);
-  bench::print_header("group commit: fences per mutation A/B",
-                      "MOD write path + cross-connection ack fences");
-  std::printf("  records=%llu ops=%llu clients=%u depth=%u window=%uus\n",
+  bench::print_header("MOD write path: fences per mutation A/B",
+                      "per-batch ack fences, mod writes off vs on");
+  std::printf("  records=%llu ops=%llu clients=%u depth=%u\n",
               static_cast<unsigned long long>(records),
-              static_cast<unsigned long long>(ops), clients, depth, window_us);
+              static_cast<unsigned long long>(ops), clients, depth);
 
-  const LegResult base = run_leg(/*mod_writes=*/false, /*group_commit=*/false,
-                                 records, ops, clients, depth);
-  const LegResult gc = run_leg(/*mod_writes=*/true, /*group_commit=*/true,
-                               records, ops, clients, depth);
+  const LegResult base =
+      run_leg(/*mod_writes=*/false, records, ops, clients, depth);
+  const LegResult mod =
+      run_leg(/*mod_writes=*/true, records, ops, clients, depth);
   pmem::reset_mod_writes_for_testing();
-  if (!base.started || !gc.started) return 1;
+  if (!base.started || !mod.started) return 1;
 
-  print_leg("baseline", base);
-  print_leg("groupcommit", gc);
+  print_leg("mod-off", base);
+  print_leg("mod-on", mod);
 
-  const double reduction = gc.fences_per_mutation > 0
+  const double reduction = mod.fences_per_mutation > 0
                                ? base.fences_per_mutation /
-                                     gc.fences_per_mutation
+                                     mod.fences_per_mutation
                                : 0;
-  std::printf("  fence reduction: %.1fx (%llu group commits, avg batch "
+  std::printf("  fence reduction: %.1fx (%llu ack fences, avg batch "
               "%.2f mutations)\n",
-              reduction, static_cast<unsigned long long>(gc.group_commits),
-              gc.group_commits > 0
-                  ? static_cast<double>(gc.group_commit_mutations) /
-                        static_cast<double>(gc.group_commits)
+              reduction, static_cast<unsigned long long>(mod.group_commits),
+              mod.group_commits > 0
+                  ? static_cast<double>(mod.group_commit_mutations) /
+                        static_cast<double>(mod.group_commits)
                   : 0.0);
 
   JsonBenchWriter out("groupcommit");
-  add_entry(out, "baseline", base, clients, depth, records, window_us,
-            {{"mod_writes", "off"}, {"group_commit", "off"}});
+  add_entry(out, "mod-off", base, clients, depth, records,
+            {{"mod_writes", "off"}});
   char buf[32];
   std::snprintf(buf, sizeof buf, "%.2f", reduction);
-  add_entry(out, "groupcommit", gc, clients, depth, records, window_us,
-            {{"mod_writes", "on"},
-             {"group_commit", "on"},
-             {"fence_reduction_x", buf}});
+  add_entry(out, "mod-on", mod, clients, depth, records,
+            {{"mod_writes", "on"}, {"fence_reduction_x", buf}});
   out.write();
 
-  bool all_ok = base.wl.ok && gc.wl.ok;
+  bool all_ok = base.wl.ok && mod.wl.ok;
   // Gates (only at meaningful scale — smoke runs with tiny op counts are
   // for wiring, not statistics).
   if (ops >= 20000) {
@@ -296,20 +288,19 @@ int main() {
                    reduction);
       all_ok = false;
     }
-    // p999 must not regress beyond noise + the commit window the batches
-    // deliberately wait out.
+    // p999 must not regress beyond noise: no batch waits on a window.
     const double p999_base = static_cast<double>(base.wl.latency.p999_ns());
-    const double p999_gc = static_cast<double>(gc.wl.latency.p999_ns());
-    const double allowed = p999_base * 1.5 + 2.0 * 1000.0 * window_us;
-    if (p999_gc > allowed) {
+    const double p999_mod = static_cast<double>(mod.wl.latency.p999_ns());
+    const double allowed = p999_base * 1.5;
+    if (p999_mod > allowed) {
       std::fprintf(stderr,
-                   "FAIL: groupcommit p999 %.0f ns vs baseline %.0f ns "
+                   "FAIL: mod-on p999 %.0f ns vs mod-off %.0f ns "
                    "(allowed %.0f)\n",
-                   p999_gc, p999_base, allowed);
+                   p999_mod, p999_base, allowed);
       all_ok = false;
     }
-    if (gc.group_commits == 0) {
-      std::fprintf(stderr, "FAIL: group committer never fenced\n");
+    if (mod.group_commits == 0) {
+      std::fprintf(stderr, "FAIL: no batch ack fence was counted\n");
       all_ok = false;
     }
   }

@@ -852,6 +852,17 @@ std::size_t BlockAllocator::count_all_free_blocks() const {
   return n;
 }
 
+std::size_t BlockAllocator::count_used_blocks() const {
+  std::size_t provisioned = 0;
+  for (std::uint32_t p = 0; p < num_pools(); ++p) {
+    const ChunkAllocator& ca = *pools_[p];
+    for (std::uint32_t c = 0; c < ca.header().max_chunks; ++c)
+      if (ca.dir_entry(c).state == ChunkState::kAllocated)
+        provisioned += blocks_per_chunk(p);
+  }
+  return provisioned - count_all_free_blocks();
+}
+
 void BlockAllocator::collect_free_rivs(std::vector<std::uint64_t>* out) const {
   for (std::uint32_t p = 0; p < num_pools(); ++p) {
     for (std::uint32_t a = 0; a < cfg_.arenas_per_pool; ++a) {

@@ -169,6 +169,9 @@ class BlockAllocator {
   /// Total blocks across all free lists plus blocks cached in thread-local
   /// magazines — used by leak-detection tests.
   std::size_t count_all_free_blocks() const;
+  /// Blocks of provisioned chunks that are not free (live nodes, session
+  /// tables, blocks in flight) — what space-bound tests watch.
+  std::size_t count_used_blocks() const;
   /// Diagnostic flavor of the same accounting: appends every riv counted as
   /// free (free-list members, unconsumed DRAM magazine slots, pending
   /// returns) so leak reports can name the blocks that are *not* there.

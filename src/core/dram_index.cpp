@@ -255,6 +255,9 @@ void DramIndex::check_invariants() const {
   for (std::uint32_t l = 0; l < max_slots_; ++l) {
     std::uint64_t prev = 0;
     bool have_prev = false;
+    // Subsequence check in one pass: level l must appear on level l-1 in
+    // order, so a cursor along l-1 only ever moves forward (linear time).
+    const IndexNode* below = l > 0 ? slot_load(head_, l - 1) : nullptr;
     for (const IndexNode* n = slot_load(head_, l); n != nullptr;
          n = slot_load(n, l)) {
       if (have_prev && n->key <= prev)
@@ -265,12 +268,11 @@ void DramIndex::check_invariants() const {
         throw std::logic_error("dram index node linked above its height");
       if (l == 0) ++at_slot0;
       if (l > 0) {
-        // Subsequence check: the node must appear on the level below.
-        const IndexNode* below = slot_load(head_, l - 1);
         while (below != nullptr && below != n && below->key <= n->key)
           below = slot_load(below, l - 1);
         if (below != n)
           throw std::logic_error("dram index node missing from lower level");
+        below = slot_load(below, l - 1);
       }
     }
   }

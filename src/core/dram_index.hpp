@@ -98,6 +98,8 @@ class DramIndex {
   }
 
  private:
+  friend struct DramIndexTestPeer;  // corrupts links to test check_invariants
+
   /// A volatile index node: header + `levels` forward pointers. Slot i
   /// carries skip-list level i + 1 (level 0 lives in PMEM), so a data node
   /// of tower height h owns h - 1 slots. Slots are raw pointers accessed

@@ -169,11 +169,12 @@ unsigned default_rebuild_workers() {
 /// with 0xff), CRC32C stamp over the node's immutable identity triple
 /// (self_riv, key0, height) in the high 32 bits. The triple never changes
 /// after make_node — key(0) is the node's routing key, which neither the
-/// split erase loop (erases only keys >= the median, all > key0) nor split
-/// recovery (nulls only keys duplicated in the successor, all > key0) can
-/// touch — so every full-node persist re-flushes an unchanged stamp for
-/// free. The packed word can never collide with MemBlock::kFreeState
-/// (0xf2ee in bits 16..31; a real meta word has zeros there).
+/// split erase loop (erases only keys >= the median, all > key0), a
+/// compaction (never nulls slot 0) nor split recovery (nulls only keys
+/// duplicated in the successor, all > key0) can touch — so every full-node
+/// persist re-flushes an unchanged stamp for free. The packed word can never
+/// collide with MemBlock::kFreeState (0xf2ee in bits 16..31; a real meta
+/// word has zeros there).
 std::uint64_t node_meta_word(std::uint64_t self_riv, std::uint64_t key0,
                              std::uint32_t height) {
   const std::uint64_t w[3] = {self_riv, key0, height};
@@ -1170,6 +1171,7 @@ UPSkipList::InsertStatus UPSkipList::split_node(
   // detects an interrupted split by this bit (Function 11).
   persist(&pred.lock_word(), sizeof(std::uint64_t));
   UPSL_CRASH_POINT("core.split_locked");
+  if (compact_if_churned(pred)) return InsertStatus::kRestart;
 
   const std::uint32_t K = layout_.keys_per_node;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
@@ -1321,6 +1323,44 @@ UPSkipList::InsertStatus UPSkipList::split_node(
   }
   // The calling Insert retries and lands in the old or the new node.
   return InsertStatus::kRestart;
+}
+
+bool UPSkipList::compact_if_churned(NodeView node) {
+  // Removes only tombstone values (§4.6), so under insert/remove churn a
+  // full node is often full of dead keys. Splitting it would copy them into
+  // a fresh node; when at least a quarter of the slots are dead, null those
+  // keys in place instead and let the caller's insert reuse the slots.
+  // Every value write takes the read lock, which the write lock excludes, so
+  // the tombstones seen here are stable. Slot 0 is the node's routing key
+  // and is never nulled.
+  const std::uint32_t K = layout_.keys_per_node;
+  std::uint32_t dead = 0;
+  for (std::uint32_t i = 1; i < K; ++i)
+    if (pm_load(node.key(i)) != kNullKey &&
+        pm_load(node.value(i)) == kTombstone)
+      ++dead;
+  if (4 * dead < K) return false;
+  // A nulled key keeps its kTombstone value, so the free-slot invariant
+  // (key == kNullKey => value == kTombstone) holds at every step. A crash
+  // before the persist below is repaired by split recovery: the durable
+  // lock is set, null-key slots are re-tombstoned, and nothing else is
+  // erased because the successor holds none of this node's keys.
+  for (std::uint32_t i = 1; i < K; ++i)
+    if (pm_load(node.key(i)) != kNullKey &&
+        pm_load(node.value(i)) == kTombstone)
+      pm_store(node.key(i), kNullKey);
+  UPSL_CRASH_POINT("core.compact_locked");
+  pm_store(node.sorted_count(),
+           static_cast<std::uint64_t>(sorted_run_length(node, K)));
+  // Readers that loaded key slots before the nulling retry on the counter.
+  pm_store(node.split_count(), pm_load(node.split_count()) + 1);
+  persist(node.raw(), layout_.node_size());
+  UPSL_CRASH_POINT("core.compact_erased");
+  node.write_unlock();
+  // Deferrable like a split's unlock: a lost unlock re-runs split recovery,
+  // which erases nothing from a node whose successor shares no keys.
+  pmem::ack_persist(&node.lock_word(), sizeof(std::uint64_t));
+  return true;
 }
 
 std::optional<std::uint64_t> UPSkipList::remove(std::uint64_t key) {

@@ -377,6 +377,10 @@ class UPSkipList {
   InsertStatus split_node(std::uint64_t key, std::uint64_t value,
                           std::uint64_t* preds, std::uint64_t* succs,
                           std::optional<std::uint64_t>* old_out);
+  /// Under split_node's durable write lock: true (and the node compacted,
+  /// persisted and unlocked) when enough slots hold tombstoned keys that
+  /// reusing them beats a split.
+  bool compact_if_churned(NodeView node);
   void link_higher_levels(std::uint64_t* preds, std::uint64_t* succs,
                           std::uint64_t node_riv, std::uint32_t start_level,
                           std::uint32_t height);

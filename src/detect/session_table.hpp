@@ -22,10 +22,10 @@
 //
 // Durability contract (docs/detectability.md): record() routes its lines
 // through pmem::ack_persist, so inside a server batch the slot update rides
-// the exact fence / group-commit ticket that acks the mutation — exactly-once
-// costs no extra fences on the hot path. In kDiscardUnflushed crash mode a
-// group-commit ticket's lines commit atomically (GroupCommit::commit_batch
-// has no interior crash points), so the slot and the mutation's effect are
+// the exact batch fence that acks the mutation — exactly-once costs no extra
+// fences on the hot path. In kDiscardUnflushed crash mode a batch's lines
+// commit atomically (AckBatch::commit_fenced has no interior crash points),
+// so the slot and the mutation's effect are
 // always in agreement and resolve() answers are ground truth for the tested
 // configuration.
 //

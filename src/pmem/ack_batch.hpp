@@ -6,13 +6,13 @@
 // *ack* rule: the link/slot/value lines an operation dirtied must be durable
 // before the operation is acknowledged to a client. Those lines need no
 // ordering among themselves, so they can ride one deferred flush + fence per
-// *batch* of operations — or, with the server's group commit, one fence per
-// commit window across all connections.
+// *batch* of operations — the server fences each pipelined batch once, on
+// the worker that executed it.
 //
 // AckBatch is that deferral scope. While a thread has an AckBatch open,
 // ack_persist() records the covered lines instead of flushing; the scope
-// owner later either commit_fenced()s them (one flush set + one fence) or
-// take_lines()s them to hand to a GroupCommit ticket. Without an open scope
+// owner later commit_fenced()s them (one flush set + one fence) before it
+// acknowledges anything. Without an open scope
 // ack_persist() is exactly persist(), so the embedded API keeps per-op
 // durability-at-return semantics.
 //
@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <vector>
 
 #include "common/compiler.hpp"
 #include "pmem/flush_set.hpp"
@@ -68,7 +67,7 @@ class AckBatch {
  public:
   /// Plenty for a server batch (`max_batch` ops x a handful of lines each);
   /// overflow degrades to an immediate unfenced flush, still covered by the
-  /// eventual batch/group fence.
+  /// eventual batch fence.
   static constexpr std::size_t kMaxLines = 256;
 
   AckBatch() : prev_(tls()) { tls() = this; }
@@ -77,11 +76,11 @@ class AckBatch {
 
   ~AckBatch() {
     tls() = prev_;
-    // Safety net: an abandoned scope still owes its callers durability —
-    // unless the lines were handed to a group-commit ticket, or we are
-    // unwinding a simulated crash (in which case dropping the un-fenced
-    // lines is exactly the power-failure semantics under test).
-    if (!taken_ && adds_ > 0 && std::uncaught_exceptions() == 0)
+    // Safety net: an abandoned scope still owes its callers durability
+    // (commit_fenced() resets adds_) — unless we are unwinding a simulated
+    // crash, in which case dropping the un-fenced lines is exactly the
+    // power-failure semantics under test.
+    if (adds_ > 0 && std::uncaught_exceptions() == 0)
       commit_fenced();
   }
 
@@ -117,17 +116,6 @@ class AckBatch {
   std::size_t adds() const { return adds_; }
   std::size_t lines() const { return n_; }
 
-  /// Hand the recorded lines off (to a GroupCommit ticket); the scope is
-  /// done — its destructor will not flush. Dedupe savings are credited here
-  /// since the lines skip the FlushSet path.
-  std::vector<const void*> take_lines() {
-    taken_ = true;
-    credit_savings();
-    std::vector<const void*> out(lines_, lines_ + n_);
-    n_ = adds_ = deduped_ = 0;
-    return out;
-  }
-
   /// Flush every recorded unique line and issue the ack fence. Always
   /// fences, even with zero recorded lines: callers use this as the
   /// durability gate for a batch whose ops persisted eagerly (MOD off).
@@ -136,7 +124,6 @@ class AckBatch {
     fence();
     credit_savings();
     n_ = adds_ = deduped_ = 0;
-    taken_ = true;
   }
 
  private:
@@ -156,7 +143,6 @@ class AckBatch {
   std::size_t n_ = 0;
   std::size_t adds_ = 0;
   std::size_t deduped_ = 0;
-  bool taken_ = false;
   AckBatch* prev_;
 };
 

@@ -3,28 +3,24 @@
 #include <arpa/inet.h>
 #include <csignal>
 #include <errno.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <pthread.h>
 #include <sched.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <unordered_map>
 
 #include "common/shardmap.hpp"
 #include "common/thread_registry.hpp"
 #include "pmem/ack_batch.hpp"
 #include "pmem/persist.hpp"
-#include "server/group_commit.hpp"
 #include "server/protocol.hpp"
 #include "server/uring.hpp"
 
@@ -35,11 +31,6 @@ namespace {
 std::atomic<bool> g_signal_stop{false};
 
 void on_stop_signal(int) { g_signal_stop.store(true, std::memory_order_release); }
-
-bool set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
 
 bool shard_pin_disabled_by_env() {
   const char* v = std::getenv("UPSL_DISABLE_SHARD_PIN");
@@ -59,20 +50,14 @@ bool iouring_disabled_by_env() {
 
 /// One TCP connection, owned by exactly one worker. `in` accumulates raw
 /// bytes until complete frames can be parsed; `out` holds encoded responses
-/// not yet accepted by the kernel (out_off bytes already sent).
-///
-/// Group commit parks response bytes: only [out_off, sendable_end) may be
-/// handed to the kernel. A mutation batch whose fence has not retired yet
-/// registers (ticket, end-of-its-responses) in pending_acks; the committer's
-/// eventfd wakeup advances sendable_end as tickets commit, preserving FIFO
-/// response order per connection.
+/// not yet accepted by the kernel (out_off bytes already sent). A batch's
+/// responses are sent only after its ack fence (execute_batch), so whatever
+/// `out` holds when flush_out runs may leave.
 struct Server::Conn {
   int fd = -1;
   std::vector<std::uint8_t> in;
   std::vector<std::uint8_t> out;
   std::size_t out_off = 0;
-  std::size_t sendable_end = 0;  // bytes released for sending
-  std::deque<std::pair<std::uint64_t, std::size_t>> pending_acks;
   bool want_write = false;  // EPOLLOUT currently registered
   /// Detectable session (docs/detectability.md): the client identity the
   /// connection last opened with HELLO (0 = none), plus this client's
@@ -83,7 +68,7 @@ struct Server::Conn {
   std::vector<std::int32_t> session_slots;
 
   // io_uring plane only (docs/scan.md). Sends must not point into `out`
-  // (it reallocs while the SQE is in flight), so the releasable window is
+  // (it reallocs while the SQE is in flight), so the unsent window is
   // staged into `sbuf` for the kernel. `pending_ops` counts this
   // connection's in-flight SQEs (recv/send/cancel); a closed Conn is only
   // destroyed once it reaches zero — ops hold kernel references to the
@@ -104,13 +89,12 @@ struct Server::Conn {
   bool need_cancel_send = false;
   unsigned pending_ops = 0;
 
-  bool has_pending_out() const { return out_off < sendable_end; }
+  bool has_pending_out() const { return out_off < out.size(); }
 };
 
 struct Server::Worker {
-  unsigned shard = 0;  // which shard's listen socket / committer this serves
+  unsigned shard = 0;  // which shard's listen socket this serves
   int epoll_fd = -1;
-  int event_fd = -1;  // poked by the shard's group committer after each fence
   std::unordered_map<int, Conn> conns;
 #if UPSL_HAVE_IOURING
   // io_uring plane state. Connections are keyed by their heap address (not
@@ -130,7 +114,6 @@ struct Server::Worker {
   std::vector<std::uint64_t> cancel_retry;  // Conn keys with need_cancel_*
   std::vector<std::vector<std::uint8_t>> fixed_bufs;  // registered recv pool
   std::vector<int> free_bufs;
-  std::uint64_t efd_val = 0;  // eventfd read target (stable address)
 #endif
 };
 
@@ -140,8 +123,7 @@ namespace {
 // SQE user_data layout: either a sentinel (< 8) for per-worker ops, or a
 // Conn* (heap-allocated, so 8-byte aligned) with an op tag in the low bits.
 constexpr std::uint64_t kUdAccept = 1;  // multishot accept
-constexpr std::uint64_t kUdEvent = 2;   // group-committer eventfd read
-constexpr std::uint64_t kUdMisc = 3;    // cancels of the two above
+constexpr std::uint64_t kUdMisc = 2;    // cancel of the accept
 constexpr std::uint64_t kTagRecv = 1;
 constexpr std::uint64_t kTagSend = 2;
 constexpr std::uint64_t kTagCancel = 3;
@@ -206,12 +188,9 @@ void Server::reset_signal_stop_for_testing() {
 bool Server::start() {
   const auto shards = static_cast<std::uint32_t>(stores_.size());
   auto fail = [&] {
-    for (auto& w : workers_) {
-      if (w->event_fd >= 0) ::close(w->event_fd);
+    for (auto& w : workers_)
       if (w->epoll_fd >= 0) ::close(w->epoll_fd);
-    }
     workers_.clear();
-    gcs_.clear();
     for (const int fd : listen_fds_)
       if (fd >= 0) ::close(fd);
     listen_fds_.clear();
@@ -243,18 +222,6 @@ bool Server::start() {
     bound_ports_.push_back(ntohs(addr.sin_port));
   }
 
-  window_us_ = commit_window_us_from_env(opts_.commit_window_us);
-  if (opts_.group_commit && !group_commit_disabled_by_env()) {
-    // One committer per shard, so commit traffic scales with the shards
-    // instead of funneling through one thread. Correctness does not depend
-    // on which committer fences a batch — SFENCE is CPU-global, so any
-    // shard's fence also retires the flushes a cross-shard routed op left
-    // behind in the same batch.
-    gcs_.reserve(shards);
-    for (std::uint32_t s = 0; s < shards; ++s)
-      gcs_.push_back(std::make_unique<GroupCommit>(window_us_));
-  }
-
   shard_ops_ = std::make_unique<std::atomic<std::uint64_t>[]>(shards);
   for (std::uint32_t s = 0; s < shards; ++s)
     shard_ops_[s].store(0, std::memory_order_relaxed);
@@ -273,23 +240,11 @@ bool Server::start() {
       auto w = std::make_unique<Worker>();
       w->shard = s;
       w->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-      if (w->epoll_fd >= 0 && !gcs_.empty())
-        w->event_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-      if (w->epoll_fd < 0 || (!gcs_.empty() && w->event_fd < 0)) {
-        if (w->epoll_fd >= 0) ::close(w->epoll_fd);
-        return fail();
-      }
+      if (w->epoll_fd < 0) return fail();
       epoll_event ev = {};
       ev.events = EPOLLIN | EPOLLEXCLUSIVE;
       ev.data.fd = listen_fds_[s];
       ::epoll_ctl(w->epoll_fd, EPOLL_CTL_ADD, listen_fds_[s], &ev);
-      if (w->event_fd >= 0) {
-        epoll_event eev = {};
-        eev.events = EPOLLIN;
-        eev.data.fd = w->event_fd;
-        ::epoll_ctl(w->epoll_fd, EPOLL_CTL_ADD, w->event_fd, &eev);
-        gcs_[s]->add_notify_fd(w->event_fd);
-      }
       workers_.push_back(std::move(w));
     }
   }
@@ -300,13 +255,6 @@ bool Server::start() {
       if (!w->ring.init(kUringEntries)) {
         use_uring_ = false;
         break;
-      }
-      // The eventfd is read through the ring in this mode; clear O_NONBLOCK
-      // so kernels whose eventfd lacks nowait support poll-arm the read
-      // instead of completing it with -EAGAIN (a re-arm busy loop).
-      if (w->event_fd >= 0) {
-        const int fl = ::fcntl(w->event_fd, F_GETFL, 0);
-        if (fl >= 0) ::fcntl(w->event_fd, F_SETFL, fl & ~O_NONBLOCK);
       }
       // Registered recv buffers: fixed slots the kernel reads into without
       // per-op page pinning. Registration failing (memlock limits) is not
@@ -323,13 +271,11 @@ bool Server::start() {
       }
     }
     if (!use_uring_) {
-      // Revert to epoll: tear the rings down and restore the nonblocking
-      // eventfds its loop expects.
+      // Revert to epoll: tear the rings down.
       for (auto& w : workers_) {
         w->ring.destroy();
         w->fixed_bufs.clear();
         w->free_bufs.clear();
-        if (w->event_fd >= 0) set_nonblocking(w->event_fd);
       }
     }
   }
@@ -355,14 +301,7 @@ void Server::wait() {
   threads_.clear();
   if (started_ && !stopped_) {
     stopped_ = true;
-    // Workers have drained (every parked ack released via barrier), so the
-    // committers have nothing pending; stop them before tearing down their
-    // notification fds.
-    for (auto& gc : gcs_) gc->shutdown();
-    for (auto& w : workers_) {
-      if (w->event_fd >= 0) ::close(w->event_fd);
-      ::close(w->epoll_fd);
-    }
+    for (auto& w : workers_) ::close(w->epoll_fd);
     workers_.clear();
     for (int& fd : listen_fds_) {
       if (fd >= 0) ::close(fd);
@@ -373,10 +312,6 @@ void Server::wait() {
     // unfenced trailing flushes before the process exits.
     pmem::fence();
   }
-}
-
-GroupCommit* Server::shard_gc(const Worker& w) const {
-  return gcs_.empty() ? nullptr : gcs_[w.shard].get();
 }
 
 /// Best-effort NUMA-style pinning: split the hardware threads into
@@ -446,14 +381,6 @@ void Server::worker_main(unsigned global_index) {
         }
         continue;
       }
-      if (fd == w.event_fd) {
-        // The committer fenced: some parked responses became releasable.
-        std::uint64_t ticks;
-        while (::read(w.event_fd, &ticks, sizeof ticks) > 0) {
-        }
-        release_committed(w);
-        continue;
-      }
       auto it = w.conns.find(fd);
       if (it == w.conns.end()) continue;  // already closed this sweep
       Conn& c = it->second;
@@ -520,11 +447,9 @@ bool Server::execute_batch(Worker& w, Conn& c) {
   unsigned mutations = 0;
   // Batch-wide deferred-ack scope (docs/write-path.md): every mutation's
   // ack-gating line flushes are collected here — deduped across the whole
-  // pipelined batch, not per op — and commit below under a single fence, or
-  // ride a group-commit ticket that shares that fence across connections.
-  // Cross-shard routed mutations land here too; the fence that retires the
-  // batch is CPU-global, so durability does not depend on which shard's
-  // committer issues it.
+  // pipelined batch, not per op — and commit below under a single fence.
+  // Cross-shard routed mutations land here too; the fence is CPU-global, so
+  // it covers them whichever shard they touched.
   pmem::AckBatch ab;
   while (executed < opts_.max_batch) {
     Request req;
@@ -541,11 +466,10 @@ bool Server::execute_batch(Worker& w, Conn& c) {
     ++executed;
     bool op_mutated = false;
     // A SCANS response may stream each chunk frame out as soon as it is
-    // encoded — but only when nothing already in c.out is parked behind an
-    // unretired fence: no mutation earlier in this batch, no outstanding
-    // group-commit ticket. Everything before this op is then read-only
-    // responses, releasable by definition.
-    const bool allow_stream = mutations == 0 && c.pending_acks.empty();
+    // encoded — but only when no mutation earlier in this batch is still
+    // waiting for the batch's fence. Everything before this op is then
+    // read-only responses or acks of already-fenced batches.
+    const bool allow_stream = mutations == 0;
     execute_one(w, c, req, c.out, &op_mutated, allow_stream);
     if (op_mutated) ++mutations;
     if (c.fd < 0) return false;  // a streaming flush hit a dead socket
@@ -555,31 +479,13 @@ bool Server::execute_batch(Worker& w, Conn& c) {
 
   stats_.frames.fetch_add(executed, std::memory_order_relaxed);
   stats_.batches.fetch_add(1, std::memory_order_relaxed);
-  GroupCommit* gc = shard_gc(w);
   if (mutations > 0) {
-    if (gc != nullptr) {
-      // Group commit: hand the deferred lines to the committer and park
-      // this batch's response bytes behind the returned ticket. The
-      // eventfd wakeup releases them once the covering fence retires.
-      const std::uint64_t ticket = gc->submit(ab.take_lines(), mutations);
-      c.pending_acks.emplace_back(ticket, c.out.size());
-      stats_.group_commit_batches.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      // Per-batch ack gate: flush the batch's deferred lines and fence once
-      // before any response byte leaves — the coalesced equivalent of
-      // fencing per acknowledgement.
-      ab.commit_fenced();
-      stats_.batch_fences.fetch_add(1, std::memory_order_relaxed);
-      c.sendable_end = c.out.size();
-    }
-  } else {
-    // Read-only batch: releasable immediately — unless earlier batches on
-    // this connection are still parked; responses must stay FIFO, so these
-    // bytes ride the newest outstanding ticket.
-    if (c.pending_acks.empty())
-      c.sendable_end = c.out.size();
-    else
-      c.pending_acks.back().second = c.out.size();
+    // Ack gate: flush the batch's deferred lines and fence once before any
+    // response byte leaves — the coalesced equivalent of fencing per
+    // acknowledgement, issued on this worker with no hand-off.
+    ab.commit_fenced();
+    pmem::Stats::instance().note_group_commit(mutations);
+    stats_.batch_fences.fetch_add(1, std::memory_order_relaxed);
   }
   flush_out(w, c);
   return c.fd >= 0 && executed == opts_.max_batch && !c.in.empty();
@@ -723,7 +629,6 @@ void Server::execute_one(Worker& w, Conn& c, const Request& req,
                                    final_chunk,
                                    truncated ? cursor.resume_key() : 0, out);
         if (allow_stream && &out == &c.out) {
-          c.sendable_end = out.size();
           flush_out(w, c);
           if (c.fd < 0) return;
         }
@@ -866,16 +771,14 @@ void Server::flush_out(Worker& w, Conn& c) {
       return;
     }
     // Draining: fall through to the synchronous path — but never while an
-    // asynchronous send still owns the [out_off, sendable_end) window, or
-    // the same bytes would leave twice.
+    // asynchronous send still owns the unsent window, or the same bytes
+    // would leave twice.
     if (c.send_armed) return;
   }
 #endif
-  // Only released bytes ([out_off, sendable_end)) may leave; bytes parked
-  // behind an uncommitted ticket wait for the committer's eventfd wakeup.
   while (c.has_pending_out()) {
     const ssize_t s = ::send(c.fd, c.out.data() + c.out_off,
-                             c.sendable_end - c.out_off, MSG_NOSIGNAL);
+                             c.out.size() - c.out_off, MSG_NOSIGNAL);
     if (s > 0) {
       c.out_off += static_cast<std::size_t>(s);
       continue;
@@ -886,15 +789,12 @@ void Server::flush_out(Worker& w, Conn& c) {
     return;
   }
   if (c.out_off == c.out.size() && !c.out.empty()) {
-    // Fully sent AND nothing parked (parked bytes sit above sendable_end,
-    // which out_off cannot pass), so the buffer can be recycled.
-    c.out.clear();
+    c.out.clear();  // fully sent: recycle the buffer
     c.out_off = 0;
-    c.sendable_end = 0;
   }
-  // EPOLLOUT covers kernel backpressure on released bytes only. (On the
-  // io_uring plane this fd was never registered with epoll; the MOD is a
-  // harmless ENOENT during its synchronous drain.)
+  // EPOLLOUT covers kernel backpressure. (On the io_uring plane this fd was
+  // never registered with epoll; the MOD is a harmless ENOENT during its
+  // synchronous drain.)
   const bool want = c.has_pending_out();
   if (want != c.want_write) {
     epoll_event ev = {};
@@ -902,42 +802,6 @@ void Server::flush_out(Worker& w, Conn& c) {
     ev.data.fd = c.fd;
     ::epoll_ctl(w.epoll_fd, EPOLL_CTL_MOD, c.fd, &ev);
     c.want_write = want;
-  }
-}
-
-void Server::release_committed(Worker& w) {
-  const std::uint64_t committed = shard_gc(w)->committed();
-#if UPSL_HAVE_IOURING
-  if (use_uring_) {
-    // uring_flush never erases a Conn (teardown is completion-driven), so
-    // iterating the map while flushing is safe.
-    for (auto& [key, cp] : w.uconns) {
-      Conn& c = *cp;
-      if (c.fd < 0 || c.pending_acks.empty()) continue;
-      while (!c.pending_acks.empty() &&
-             c.pending_acks.front().first <= committed) {
-        c.sendable_end = c.pending_acks.front().second;
-        c.pending_acks.pop_front();
-      }
-      flush_out(w, c);
-    }
-    return;
-  }
-#endif
-  for (auto it = w.conns.begin(); it != w.conns.end();) {
-    Conn& c = it->second;
-    if (c.fd >= 0 && !c.pending_acks.empty()) {
-      while (!c.pending_acks.empty() &&
-             c.pending_acks.front().first <= committed) {
-        c.sendable_end = c.pending_acks.front().second;
-        c.pending_acks.pop_front();
-      }
-      flush_out(w, c);
-    }
-    if (c.fd < 0)
-      it = w.conns.erase(it);
-    else
-      ++it;
   }
 }
 
@@ -963,7 +827,6 @@ void Server::close_conn(Worker& w, Conn& c) {
 void Server::drain_worker(Worker& w) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::seconds(opts_.drain_timeout_sec);
-  GroupCommit* gc = shard_gc(w);
   std::vector<int> fds;
   fds.reserve(w.conns.size());
   for (auto& [fd, conn] : w.conns) fds.push_back(fd);
@@ -985,13 +848,6 @@ void Server::drain_worker(Worker& w) {
     while (execute_batch(w, c)) {
     }
     if (c.fd < 0) continue;
-    if (gc != nullptr && !c.pending_acks.empty()) {
-      // Every parked ticket is already submitted; wait for the covering
-      // fence so the drain never sends an un-durable ack.
-      gc->barrier();
-      c.sendable_end = c.out.size();
-      c.pending_acks.clear();
-    }
     while (c.has_pending_out() &&
            std::chrono::steady_clock::now() < deadline) {
       pollfd pfd = {c.fd, POLLOUT, 0};
@@ -1033,13 +889,13 @@ void Server::uring_arm_recv(Worker& w, Conn& c) {
   ++w.inflight;
 }
 
-/// Posts one asynchronous send for the releasable window. The window is
+/// Posts one asynchronous send for the unsent window. The window is
 /// copied into c.sbuf first: c.out may realloc (new responses append) while
 /// the kernel still reads the SQE's buffer.
 void Server::uring_flush(Worker& w, Conn& c) {
   if (c.fd < 0 || c.closing || c.send_armed || !c.has_pending_out()) return;
   c.sbuf.assign(c.out.begin() + static_cast<std::ptrdiff_t>(c.out_off),
-                c.out.begin() + static_cast<std::ptrdiff_t>(c.sendable_end));
+                c.out.end());
   io_uring_sqe* sqe = sqe_or_flush(w.ring);
   if (sqe == nullptr) return;  // retried on the next completion/release
   Uring::prep_send(sqe, c.fd, c.sbuf.data(),
@@ -1188,19 +1044,6 @@ void Server::uring_handle_cqe(Worker& w, std::uint64_t user_data, int res,
     }
     return;
   }
-  if (user_data == kUdEvent) {
-    --w.inflight;
-    if (res > 0) release_committed(w);
-    if (!w.draining && w.event_fd >= 0) {
-      io_uring_sqe* sqe = sqe_or_flush(w.ring);
-      if (sqe != nullptr) {
-        Uring::prep_read(sqe, w.event_fd, &w.efd_val, sizeof w.efd_val,
-                         kUdEvent);
-        ++w.inflight;
-      }
-    }
-    return;
-  }
   if (user_data == kUdMisc) {
     --w.inflight;
     return;
@@ -1238,18 +1081,16 @@ void Server::uring_handle_cqe(Worker& w, std::uint64_t user_data, int res,
       return;
     }
     if (res == 0) {
-      // Peer sent FIN. Execute what it already sent; the responses (some
-      // possibly parked behind a commit ticket) drain asynchronously, and
-      // the send/release completions close the socket once out is empty.
+      // Peer sent FIN. Execute what it already sent; the responses drain
+      // asynchronously, and the send completion closes the socket once out
+      // is empty.
       while (execute_batch(w, c)) {
       }
       if (c.fd < 0) return;
       c.close_after_flush = true;
       flush_out(w, c);
-      if (c.fd >= 0 && !c.send_armed && !c.has_pending_out() &&
-          c.pending_acks.empty()) {
+      if (c.fd >= 0 && !c.send_armed && !c.has_pending_out())
         close_conn(w, c);
-      }
       return;
     }
     if (res == -ECANCELED && w.draining) return;  // drain slurps the rest
@@ -1268,13 +1109,12 @@ void Server::uring_handle_cqe(Worker& w, std::uint64_t user_data, int res,
       if (c.out_off == c.out.size() && !c.out.empty()) {
         c.out.clear();
         c.out_off = 0;
-        c.sendable_end = 0;
       }
       if (c.has_pending_out()) {
         if (!w.draining) uring_flush(w, c);
         return;
       }
-      if (c.close_after_flush && c.pending_acks.empty()) close_conn(w, c);
+      if (c.close_after_flush) close_conn(w, c);
       return;
     }
     if (res == -ECANCELED && w.draining) return;
@@ -1290,18 +1130,10 @@ void Server::worker_main_uring(unsigned global_index) {
       (global_index % opts_.workers)));
   maybe_pin_to_shard(w.shard);
 
-  // The two long-lived ops: multishot accept on the shard's listen socket,
-  // and a read on the group committer's eventfd (re-armed per firing).
+  // The long-lived op: multishot accept on the shard's listen socket.
   if (io_uring_sqe* sqe = sqe_or_flush(w.ring)) {
     Uring::prep_accept_multishot(sqe, listen_fds_[w.shard], kUdAccept);
     ++w.inflight;
-  }
-  if (w.event_fd >= 0) {
-    if (io_uring_sqe* sqe = sqe_or_flush(w.ring)) {
-      Uring::prep_read(sqe, w.event_fd, &w.efd_val, sizeof w.efd_val,
-                       kUdEvent);
-      ++w.inflight;
-    }
   }
 
   io_uring_cqe cqes[256];
@@ -1325,7 +1157,7 @@ void Server::worker_main_uring(unsigned global_index) {
   }
 }
 
-/// Graceful drain, io_uring flavor: cancel the long-lived ops and every
+/// Graceful drain, io_uring flavor: cancel the multishot accept and every
 /// armed receive, let in-flight sends finish delivering, then run the same
 /// synchronous slurp-execute-flush pass as the epoll drain. The Conns are
 /// only destroyed once the kernel holds no reference to their buffers.
@@ -1341,7 +1173,6 @@ void Server::drain_worker_uring(Worker& w) {
     return true;
   };
   cancel(kUdAccept, kUdMisc);
-  if (w.event_fd >= 0) cancel(kUdEvent, kUdMisc);
   for (auto& [key, cp] : w.uconns) {
     if (cp->recv_armed &&
         cancel(conn_ud(cp.get(), kTagRecv), conn_ud(cp.get(), kTagCancel)))
@@ -1366,8 +1197,7 @@ void Server::drain_worker_uring(Worker& w) {
   }
 
   // Synchronous tail (flush_out takes its epoll-style path now that
-  // w.draining is set): one last slurp, execute, barrier, flush, close.
-  GroupCommit* gc = shard_gc(w);
+  // w.draining is set): one last slurp, execute, flush, close.
   for (auto& [key, cp] : w.uconns) {
     Conn& c = *cp;
     if (c.fd < 0) continue;
@@ -1383,11 +1213,6 @@ void Server::drain_worker_uring(Worker& w) {
     while (execute_batch(w, c)) {
     }
     if (c.fd < 0) continue;
-    if (gc != nullptr && !c.pending_acks.empty()) {
-      gc->barrier();
-      c.sendable_end = c.out.size();
-      c.pending_acks.clear();
-    }
     while (c.has_pending_out() && !c.send_armed &&
            std::chrono::steady_clock::now() < deadline) {
       pollfd pfd = {c.fd, POLLOUT, 0};
@@ -1453,8 +1278,6 @@ std::string Server::stats_json() const {
   json += u64("batches", s.batches.load(std::memory_order_relaxed)) + ", ";
   json += u64("batch_fences",
               s.batch_fences.load(std::memory_order_relaxed)) + ", ";
-  json += u64("group_commit_batches",
-              s.group_commit_batches.load(std::memory_order_relaxed)) + ", ";
   json += u64("protocol_errors",
               s.protocol_errors.load(std::memory_order_relaxed)) + ", ";
   json += u64("gets", s.gets.load(std::memory_order_relaxed)) + ", ";
@@ -1480,7 +1303,7 @@ std::string Server::stats_json() const {
   // Shard 0's epoch/index stay at the top level for pre-sharding consumers;
   // the "shards" array is the full per-shard picture. The trailing "pmem"
   // rollup is process-global (pmem::Stats is one singleton), i.e. already
-  // the merged view across every shard's pools and committers.
+  // the merged view across every shard's pools and workers.
   json += u64("epoch", stores_[0]->epoch()) + ", ";
   json += "\"index\": {";
   json += std::string("\"dram\": ") +
@@ -1504,12 +1327,14 @@ std::string Server::stats_json() const {
     json += "}";
   }
   json += "], ";
+  // Mutations share their batch's ack fence; pmem.group_commits counts
+  // those fences and group_commit_mutations what they covered.
   json += "\"group_commit\": {";
-  json += std::string("\"enabled\": ") + (!gcs_.empty() ? "true" : "false") +
-          ", ";
+  json += std::string("\"enabled\": ") +
+          (group_commit_enabled() ? "true" : "false") + ", ";
   json += std::string("\"mod_writes\": ") +
           (pmem::mod_writes_enabled() ? "true" : "false") + ", ";
-  json += u64("window_us", window_us_);
+  json += u64("window_us", commit_window_us());
   json += "}, ";
   // Open-time integrity verdict, merged across shards (docs/integrity.md):
   // what recovery detected and quarantined when these stores attached. The

@@ -3,15 +3,15 @@
 // io_uring completion loop (multishot accept, registered-buffer receives,
 // asynchronous sends) selected at runtime when the kernel offers it
 // (docs/scan.md). Everything above the socket layer — batching, routing,
-// group commit, drain — is shared between the planes.
+// ack fencing, drain — is shared between the planes.
 //
 // Sharding (docs/server.md): the key space is hash-partitioned across N
 // independent UPSkipList shards (common/shardmap.hpp). Shard s gets its own
-// listen socket (base port + s, or its own ephemeral port), its own group of
-// worker threads, and its own group committer — shards share nothing but
-// the process. Worker groups are pinned, best-effort, to disjoint CPU
-// groups approximating one (virtual) NUMA node per shard, so each shard's
-// threads stay local to the node its pools were placed on.
+// listen socket (base port + s, or its own ephemeral port) and its own group
+// of worker threads — shards share nothing but the process. Worker groups
+// are pinned, best-effort, to disjoint CPU groups approximating one
+// (virtual) NUMA node per shard, so each shard's threads stay local to the
+// node its pools were placed on.
 //
 // Routing: the dispatch layer routes every single-key request by its key to
 // the owning shard, whatever socket it arrived on — so a topology-unaware
@@ -30,20 +30,21 @@
 //
 // Pipelining: a wakeup drains the socket, parses every complete frame that
 // arrived, executes the whole batch back-to-back against the store, and only
-// then writes the concatenated responses with one send(). Each mutating
-// operation is individually durable before it returns (the store persists
-// internally), and the server issues one extra pmem::fence() per batch that
-// contained a mutation before any response byte leaves — acknowledgements
-// are ordered after durability with one fence per batch, not one per op.
+// then writes the concatenated responses with one send(). Mutations defer
+// their ack-gating line flushes into a batch-wide AckBatch; before any
+// response byte leaves, the worker that executed the batch flushes the
+// deduplicated lines and issues one fence (docs/write-path.md) —
+// acknowledgements are ordered after durability with one fence per batch,
+// not one per op, and no response ever waits on another thread.
 //
 // Lifecycle: construct over already-recovered stores (the caller runs
 // Pool::open + UPSkipList/ShardSet::open first — the listen sockets must not
 // exist before recovery has run), start(), then wait(). stop() — or a
 // SIGTERM/SIGINT routed through install_signal_handlers() — triggers a
 // graceful drain: the listen sockets close (no new connections), every
-// worker executes the requests already buffered on its connections, flushes
-// pending responses, fences, and exits. wait() returns once all workers are
-// done.
+// worker executes the requests already buffered on its connections, fences
+// them like any other batch, flushes pending responses, and exits. wait()
+// returns once all workers are done.
 #pragma once
 
 #include <atomic>
@@ -57,8 +58,6 @@
 #include "core/upskiplist.hpp"
 
 namespace upsl::server {
-
-class GroupCommit;
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
@@ -79,15 +78,6 @@ struct ServerOptions {
   unsigned max_batch = 64;
   /// Seconds a draining worker will wait for blocked response bytes.
   unsigned drain_timeout_sec = 5;
-  /// Cross-connection group commit (docs/write-path.md): mutation batches
-  /// from all connections within a commit window share one ack fence issued
-  /// by a dedicated committer thread (one per shard); responses park until
-  /// the covering fence retires. UPSL_DISABLE_GROUP_COMMIT=1 overrides this
-  /// to off.
-  bool group_commit = true;
-  /// How long the committer accumulates batches before fencing, in
-  /// microseconds. UPSL_COMMIT_WINDOW_US overrides.
-  std::uint32_t commit_window_us = 50;
   /// Pin each shard's workers to that shard's CPU group (hardware threads
   /// split evenly across shards, approximating one NUMA node per shard).
   /// Skipped automatically when the machine is too small to give every
@@ -97,8 +87,8 @@ struct ServerOptions {
   /// multishot accept, registered-buffer receives, and completion-driven
   /// sends — selected at start() by a runtime probe, falling back to epoll
   /// on kernels (or seccomp policies) that refuse the ring.
-  /// UPSL_DISABLE_IOURING=1 overrides to off. Batch execution, group-commit
-  /// parking, and the single-owner-connection model are identical on both
+  /// UPSL_DISABLE_IOURING=1 overrides to off. Batch execution, ack
+  /// fencing, and the single-owner-connection model are identical on both
   /// planes.
   bool io_uring = true;
 };
@@ -109,10 +99,9 @@ struct ServerStats {
   std::atomic<std::uint64_t> connections_closed{0};
   std::atomic<std::uint64_t> frames{0};
   std::atomic<std::uint64_t> batches{0};
+  /// Ack fences: one per batch that mutated (also counted, with the batch's
+  /// mutation count, in pmem::Stats::group_commits).
   std::atomic<std::uint64_t> batch_fences{0};
-  /// Mutation batches handed to the group committer (their fences are
-  /// counted in pmem::Stats::group_commits, not batch_fences).
-  std::atomic<std::uint64_t> group_commit_batches{0};
   std::atomic<std::uint64_t> protocol_errors{0};
   std::atomic<std::uint64_t> gets{0};
   std::atomic<std::uint64_t> puts{0};
@@ -133,7 +122,7 @@ class Server {
  public:
   /// Unsharded (N=1) server over one store — the pre-sharding configuration.
   Server(core::UPSkipList& store, ServerOptions opts);
-  /// Sharded server: one listen socket + worker group + committer per shard.
+  /// Sharded server: one listen socket + worker group per shard.
   /// The ShardSet must outlive the server.
   Server(core::ShardSet& shards, ServerOptions opts);
   ~Server();
@@ -163,13 +152,13 @@ class Server {
 
   const ServerStats& stats() const { return stats_; }
 
-  /// True iff this server runs with the cross-connection group committers
-  /// (option on and not killed by UPSL_DISABLE_GROUP_COMMIT). Valid after
-  /// start().
-  bool group_commit_enabled() const { return !gcs_.empty(); }
+  /// Always true: the mutations in one batch share one ack fence, issued by
+  /// the worker that executed them (pmem::Stats::group_commits counts those
+  /// fences, so "group commit" reads as mutations per ack fence).
+  bool group_commit_enabled() const { return true; }
 
-  /// Effective commit window (env override applied). Valid after start().
-  std::uint32_t commit_window_us() const { return window_us_; }
+  /// Always 0: no commit window — a batch fences as soon as it has run.
+  std::uint32_t commit_window_us() const { return 0; }
 
   /// The data plane the workers actually run ("io_uring" or "epoll" — the
   /// probe's verdict, not the option). Valid after start().
@@ -189,8 +178,8 @@ class Server {
   void worker_main(unsigned global_index);
   void handle_readable(Worker& w, Conn& c);
   bool execute_batch(Worker& w, Conn& c);
-  /// `allow_stream` permits SCANS to release+flush each chunk frame as soon
-  /// as it is encoded (nothing ahead of it in c.out is waiting on a fence).
+  /// `allow_stream` permits SCANS to flush each chunk frame as soon as it is
+  /// encoded (nothing ahead of it in c.out is waiting on the batch's fence).
   void execute_one(Worker& w, Conn& c, const struct Request& req,
                    std::vector<std::uint8_t>& out, bool* mutated,
                    bool allow_stream);
@@ -211,10 +200,6 @@ class Server {
   void uring_sweep_dead(Worker& w);
   /// Re-posts ASYNC_CANCELs that uring_close skipped on a full SQ.
   void uring_retry_cancels(Worker& w);
-  /// Release every parked ack covered by the committer's progress and push
-  /// the freed bytes out (eventfd wakeup path).
-  void release_committed(Worker& w);
-  GroupCommit* shard_gc(const Worker& w) const;
   void maybe_pin_to_shard(unsigned shard) const;
   std::string stats_json() const;
 
@@ -228,8 +213,6 @@ class Server {
   bool use_uring_ = false;  // decided once in start(); all workers agree
   std::vector<std::thread> threads_;
   std::vector<std::unique_ptr<Worker>> workers_;  // shard-major order
-  std::vector<std::unique_ptr<GroupCommit>> gcs_;  // empty = per-batch fencing
-  std::uint32_t window_us_ = 0;
   ServerStats stats_;
   /// Requests executed against each shard (wherever they arrived).
   std::unique_ptr<std::atomic<std::uint64_t>[]> shard_ops_;

@@ -244,15 +244,6 @@ class Uring {
     sqe->user_data = user_data;
   }
 
-  static void prep_read(io_uring_sqe* sqe, int fd, void* buf, unsigned len,
-                        std::uint64_t user_data) {
-    sqe->opcode = IORING_OP_READ;
-    sqe->fd = fd;
-    sqe->addr = reinterpret_cast<std::uint64_t>(buf);
-    sqe->len = len;
-    sqe->user_data = user_data;
-  }
-
   /// Cancel every pending op whose user_data matches `target`.
   static void prep_cancel(io_uring_sqe* sqe, std::uint64_t target,
                           std::uint64_t user_data) {

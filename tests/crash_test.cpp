@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <deque>
 #include <map>
+#include <optional>
 #include <string>
+#include <tuple>
 
 #include "pmem/ack_batch.hpp"
 #include "test_util.hpp"
@@ -406,24 +409,24 @@ TEST(Crash, DanglingArenaTailRepairedBeforeReuse) {
 }
 
 TEST(Crash, DeferredAckLinesLostBeforeTheGroupFence) {
-  // MOD write path + group commit (docs/write-path.md): a batch's
-  // ack-gating lines are handed off via take_lines() and only become
-  // durable at the committer's fence. Crashing after the handoff but
-  // before that fence (modeled by dropping the lines) must leave every op
-  // in the batch unacked-in-flight: each may have taken effect or not,
-  // but never partially, and recovery must converge.
+  // MOD write path (docs/write-path.md): a server batch's ack-gating lines
+  // only become durable at the batch's fence. Crashing after the batch's
+  // last op but before that fence (the scope unwinds without committing)
+  // must leave every op in the batch unacked-in-flight: each may have taken
+  // effect or not, but never partially, and recovery must converge.
   if (!pmem::mod_writes_enabled())
     GTEST_SKIP() << "legacy ordered write path: nothing defers";
   StoreHarness h(small_options(4, 10));
   for (std::uint64_t k = 1; k <= 40; ++k) h.store().insert(k, k);
   h.mark_persisted();
-  {
+  try {
     pmem::AckBatch ab;
     h.store().insert(7, 100);    // update of a durable value
     h.store().insert(1000, 5);   // fresh insert (out-of-place publish)
     h.store().remove(9);         // tombstone write
-    auto lines = ab.take_lines();  // the ticket the fence never covered
-    EXPECT_GT(lines.size(), 0u);
+    EXPECT_GT(ab.lines(), 0u);   // what the fence would have covered
+    throw CrashException{};
+  } catch (const CrashException&) {
   }
   h.crash_and_reopen();
   auto v7 = h.store().search(7);
@@ -463,6 +466,90 @@ TEST(Crash, ModPublishSurvivesRandomEviction) {
     }
   }
 }
+
+/// The in-flight op of a churn run: an insert of `value`, or a remove
+/// (value empty).
+struct ChurnOp {
+  std::uint64_t key = 0;
+  std::optional<std::uint64_t> value;
+};
+
+/// Unique-key churn at a fixed live size (insert a fresh hashed key, remove
+/// the oldest) until the armed crash point fires. Removed keys leave
+/// tombstoned slots, so full nodes compact instead of splitting. Returns
+/// the acked state of every key touched: its value, or empty once removed.
+std::map<std::uint64_t, std::optional<std::uint64_t>> churn_until_crash(
+    UPSkipList& store, std::uint64_t tag, std::uint64_t skip, bool* fired,
+    ChurnOp* inflight) {
+  CrashPoints::instance().reset();
+  CrashPoints::instance().arm(tag, skip);
+  std::map<std::uint64_t, std::optional<std::uint64_t>> acked;
+  std::deque<std::uint64_t> live;
+  *fired = false;
+  try {
+    for (std::uint64_t i = 0; i < 4000; ++i) {
+      const std::uint64_t key = (mix64(i + 1) >> 4) + 1;
+      *inflight = {key, key / 3 + 1};
+      store.insert(key, *inflight->value);
+      acked[key] = inflight->value;
+      live.push_back(key);
+      if (live.size() > 32) {
+        *inflight = {live.front(), std::nullopt};
+        store.remove(live.front());
+        acked[live.front()] = std::nullopt;
+        live.pop_front();
+      }
+    }
+  } catch (const CrashException&) {
+    *fired = true;
+  }
+  CrashPoints::instance().disarm();
+  return acked;
+}
+
+using CompactionCase = std::tuple<const char*, pmem::CrashMode>;
+class CrashAtCompaction : public ::testing::TestWithParam<CompactionCase> {};
+
+TEST_P(CrashAtCompaction, ChurnRecovers) {
+  // An interrupted compaction leaves the durable split lock set with some
+  // dead keys nulled; split recovery re-tombstones the null slots and, since
+  // the successor holds none of the node's keys, erases nothing else.
+  const auto [point, mode] = GetParam();
+  for (std::uint64_t skip : {0u, 5u, 23u}) {
+    SCOPED_TRACE(std::string(point) + " skip=" + std::to_string(skip));
+    StoreHarness h(small_options(/*keys_per_node=*/8, /*max_height=*/10));
+    bool fired = false;
+    ChurnOp inflight;
+    const auto acked =
+        churn_until_crash(h.store(), crash_tag(point), skip, &fired, &inflight);
+    ASSERT_TRUE(fired) << "churn never compacted a node";
+    h.crash_and_reopen(mode, skip + 1);
+    for (const auto& [k, want] : acked) {
+      const auto got = h.store().search(k);
+      if (k == inflight.key) {
+        EXPECT_TRUE(got == want || got == inflight.value) << "key " << k;
+      } else {
+        EXPECT_EQ(got, want) << "acked state lost for key " << k;
+      }
+    }
+    verify_recovered(h, {});
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CompactionPoints, CrashAtCompaction,
+    ::testing::Combine(::testing::Values("core.compact_locked",
+                                         "core.compact_erased"),
+                       ::testing::Values(pmem::CrashMode::kDiscardUnflushed,
+                                         pmem::CrashMode::kRandomEvict)),
+    [](const auto& info) {
+      std::string s = std::get<0>(info.param);
+      for (auto& c : s)
+        if (c == '.') c = '_';
+      return s + (std::get<1>(info.param) == pmem::CrashMode::kRandomEvict
+                      ? "_evict"
+                      : "_discard");
+    });
 
 TEST(Crash, UpdateDurabilityAcknowledged) {
   // An acknowledged update must survive; an unacknowledged one may or may

@@ -39,7 +39,6 @@
 #include "core/upskiplist.hpp"
 #include "lincheck/oracle.hpp"
 #include "pmem/ack_batch.hpp"
-#include "server/group_commit.hpp"
 #include "test_util.hpp"
 
 namespace upsl {
@@ -74,15 +73,28 @@ struct IterOutcome {
   int nested_crashes_fired = 0;
 };
 
+/// Runs `op` — one server batch of mutations — the way the server acks
+/// them: deferred ack lines in an AckBatch, one flush + fence on this thread,
+/// then the ack (the caller's return). The crash point between the batch's
+/// last op and its fence lets crashes land while the deferred ack lines are
+/// still unflushed; the unwinding scope then drops them, like a power
+/// failure.
+template <typename Op>
+auto run_fenced_batch(Op&& op) {
+  pmem::AckBatch ab;
+  auto r = op();
+  UPSL_CRASH_POINT("torture.ack_unfenced");
+  ab.commit_fenced();
+  return r;
+}
+
 /// One complete torture iteration. Everything random derives from `seed`.
-/// With `group_commit`, phase-1 mutations run the server's commit protocol:
-/// each op defers its ack lines into an AckBatch, hands them to a shared
-/// GroupCommit ticket and acks only after the covering cross-thread fence
-/// retires — so the injected crash lands while acked durability was
-/// provided by group fences, and the oracle still demands every acked
-/// write survive.
+/// With `batch_fence`, phase-1 mutations run the server's ack path
+/// (run_fenced_batch): acked durability comes from the batch fence rather
+/// than per-op persists, and the oracle still demands every acked write
+/// survive.
 IterOutcome run_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
-                          bool group_commit = false) {
+                          bool batch_fence = false) {
   const int threads = torture_threads();
   Xoshiro256 rng(seed);
   test::StoreHarness h(test::small_options(/*keys_per_node=*/4,
@@ -101,25 +113,9 @@ IterOutcome run_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
     oracle.ack(0, h.store().insert(key, val));
   }
 
-  // Group committer shared by every worker (short window so batches span
-  // threads without stretching the test): used in phase 1 only — it dies
-  // with the crash (abandon) like the server process would.
-  std::unique_ptr<server::GroupCommit> gc;
-  if (group_commit) gc = std::make_unique<server::GroupCommit>(20);
-  // Run one mutation under the commit protocol: defer ack lines, submit,
-  // wait for the covering fence. wait_durable throws CrashException when a
-  // simulated crash quiesces the run, leaving the op unacked (in-flight).
+  // Phase-1 mutations; a crash inside one leaves it unacked (in-flight).
   auto mutate = [&](auto&& op) -> std::optional<std::uint64_t> {
-    if (gc == nullptr) return op();
-    std::optional<std::uint64_t> r;
-    std::uint64_t ticket;
-    {
-      pmem::AckBatch ab;
-      r = op();
-      ticket = gc->submit(ab.take_lines(), 1);
-    }
-    gc->wait_durable(ticket);
-    return r;
+    return batch_fence ? run_fenced_batch(op) : op();
   };
 
   // ---- phase 1: concurrent workload, one injected crash, quiesce --------
@@ -175,10 +171,6 @@ IterOutcome run_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
     for (int t = 0; t < threads; ++t) ws.emplace_back(worker, t);
     for (auto& w : ws) w.join();
   }
-  // The crash takes the committer down with the workers: pending (un-fenced)
-  // submissions are dropped exactly like un-retired flushes in a power
-  // failure. Their waiters are already dead (quiesced at wait_durable).
-  if (gc != nullptr) gc->abandon();
   IterOutcome out;
   out.main_crash_fired = CrashPoints::instance().fired();
   CrashPoints::instance().reset();
@@ -281,15 +273,15 @@ IterOutcome run_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
 
 /// Sharded torture iteration: the same three-phase campaign against a 4-way
 /// ShardSet. Mutations route by key, so the injected crash lands while
-/// in-flight ops are spread across every shard; with `group_commit`, each
-/// shard runs its own committer (the server's per-shard arrangement) and an
-/// op waits on the committer of the shard that owns its key. Reopen is the
+/// in-flight ops are spread across every shard; with `batch_fence`, each
+/// mutation runs the server's ack path (run_fenced_batch) — one fence is
+/// CPU-global, so it covers whichever shard the op touched. Reopen is the
 /// parallel ShardSet::open, which re-validates the durable topology every
 /// cycle; verification is the global oracle (each key lives on exactly one
 /// shard, so per-key durable linearizability is per-shard durable
 /// linearizability) plus per-shard structural and leak checks.
 IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode,
-                                  bool group_commit = false) {
+                                  bool batch_fence = false) {
   constexpr std::uint32_t kShards = 4;
   const int threads = torture_threads();
   Xoshiro256 rng(seed);
@@ -308,27 +300,8 @@ IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode
   }
   h.mark_persisted();
 
-  // One committer per shard, like the server: a mutation's ack lines go to
-  // the committer of the shard that owns the key. SFENCE is CPU-global, so
-  // each committer's fence is a valid covering fence for its batch even
-  // while sibling shards mutate concurrently.
-  std::vector<std::unique_ptr<server::GroupCommit>> gcs;
-  if (group_commit)
-    for (std::uint32_t s = 0; s < kShards; ++s)
-      gcs.push_back(std::make_unique<server::GroupCommit>(20));
-  auto mutate = [&](std::uint64_t key,
-                    auto&& op) -> std::optional<std::uint64_t> {
-    if (gcs.empty()) return op();
-    server::GroupCommit* gc = gcs[h.set().shard_of(key)].get();
-    std::optional<std::uint64_t> r;
-    std::uint64_t ticket;
-    {
-      pmem::AckBatch ab;
-      r = op();
-      ticket = gc->submit(ab.take_lines(), 1);
-    }
-    gc->wait_durable(ticket);
-    return r;
+  auto mutate = [&](auto&& op) -> std::optional<std::uint64_t> {
+    return batch_fence ? run_fenced_batch(op) : op();
   };
 
   // ---- phase 1: concurrent routed workload, one injected crash -----------
@@ -358,13 +331,13 @@ IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode
         if (dice < 50) {
           const std::uint64_t val = next_value.fetch_add(1);
           oracle.invoke(tid, EvKind::kWrite, key, val);
-          oracle.ack(tid, mutate(key, [&] { return h.set().insert(key, val); }));
+          oracle.ack(tid, mutate([&] { return h.set().insert(key, val); }));
         } else if (dice < 80) {
           oracle.invoke(tid, EvKind::kRead, key);
           oracle.ack(tid, h.set().search(key));
         } else if (dice < 95) {
           oracle.invoke(tid, EvKind::kRemove, key);
-          oracle.ack(tid, mutate(key, [&] { return h.set().remove(key); }));
+          oracle.ack(tid, mutate([&] { return h.set().remove(key); }));
         } else {
           std::vector<core::ScanEntry> out;  // cross-shard merge stress
           h.set().scan(1, keyspace, 0, out);
@@ -378,7 +351,6 @@ IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode
     for (int t = 0; t < threads; ++t) ws.emplace_back(worker, t);
     for (auto& w : ws) w.join();
   }
-  for (auto& gc : gcs) gc->abandon();
   IterOutcome out;
   out.main_crash_fired = CrashPoints::instance().fired();
   CrashPoints::instance().reset();
@@ -484,8 +456,8 @@ IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode
 }
 
 /// Detectable-sessions iteration (docs/detectability.md): workers are
-/// durable client sessions pipelining 1–4 detectable mutations per
-/// group-commit ticket. After the crash the harness replays the server's
+/// durable client sessions pipelining 1–4 detectable mutations per fenced
+/// batch (run_fenced_batch). After the crash the harness replays the server's
 /// reconnect-and-resolve protocol and holds the campaign to *exactly-once*
 /// instead of either-outcome: every un-acked detectable op is resolved
 /// through the session table, the per-session answers must form an applied
@@ -494,8 +466,8 @@ IterOutcome run_sharded_iteration(std::uint64_t seed, pmem::CrashMode first_mode
 /// replayed with the *same* seq (the replay must not dedup), and every op
 /// still inside the result ring is probed with a duplicate replay that must
 /// return the original result without re-applying. Discard mode only: a
-/// detectable op's session record and its publish/ack lines ride one commit
-/// ticket, so dropping un-fenced lines keeps them in agreement; random
+/// detectable op's session record and its publish/ack lines ride one batch
+/// fence, so dropping un-fenced lines keeps them in agreement; random
 /// eviction can persist one side without the other — the table stays
 /// structurally sound there (detect_test sweeps those crash points), but the
 /// strict op/record coupling this shard asserts does not hold.
@@ -541,8 +513,6 @@ IterOutcome run_detect_iteration(std::uint64_t seed) {
     logs[static_cast<std::size_t>(t)].client_id =
         1000 + static_cast<std::uint64_t>(t);
 
-  auto gc = std::make_unique<server::GroupCommit>(20);
-
   // ---- phase 1: pipelined detectable workload, one injected crash --------
   CrashPoints::ArmSpec spec;
   spec.quiesce = true;
@@ -573,13 +543,11 @@ IterOutcome run_detect_iteration(std::uint64_t seed) {
       std::uint64_t seq = 0;
       for (int batch = 0; batch < 150; ++batch) {
         CrashPoints::instance().poll();
-        // Pipeline k ops under one AckBatch/ticket; keep k well below the
+        // Pipeline k ops under one fenced batch; keep k well below the
         // result-ring depth (8) so no pending result can age out.
         const int k = 1 + static_cast<int>(trng.next_below(4));
         const std::size_t first = log.ops.size();
-        std::uint64_t ticket;
-        {
-          pmem::AckBatch ab;
+        run_fenced_batch([&] {
           for (int i = 0; i < k; ++i) {
             IssuedOp op;
             op.seq = ++seq;
@@ -601,9 +569,8 @@ IterOutcome run_detect_iteration(std::uint64_t seed) {
                 << "fresh seq " << op.seq << " deduped [seed=" << seed << "]";
             log.ops.back().prev = r.previous;
           }
-          ticket = gc->submit(ab.take_lines(), static_cast<std::uint64_t>(k));
-        }
-        gc->wait_durable(ticket);
+          return 0;
+        });
         for (std::size_t i = first; i < log.ops.size(); ++i)
           oracle.ack_at(tid, log.ops[i].ev, log.ops[i].prev);
         log.acked = log.ops.size();
@@ -617,7 +584,6 @@ IterOutcome run_detect_iteration(std::uint64_t seed) {
     for (int t = 0; t < threads; ++t) ws.emplace_back(worker, t);
     for (auto& w : ws) w.join();
   }
-  gc->abandon();
   IterOutcome out;
   out.main_crash_fired = CrashPoints::instance().fired();
   CrashPoints::instance().reset();
@@ -927,7 +893,7 @@ CorruptionOutcome run_corruption_iteration(std::uint64_t seed,
 /// Runs `iters` seeded iterations under `mode` and reports the failing seed
 /// (the CI greps for "failing seed" on error).
 void run_shard(const char* shard, std::uint64_t seed_base,
-               pmem::CrashMode mode, bool group_commit = false,
+               pmem::CrashMode mode, bool batch_fence = false,
                bool sharded_store = false) {
   const std::uint64_t iters = env_u64("UPSL_TORTURE_ITERS", 50);
   // An explicit UPSL_TORTURE_SEED0 is an absolute seed (what a failure
@@ -943,8 +909,8 @@ void run_shard(const char* shard, std::uint64_t seed_base,
     SCOPED_TRACE(std::string(shard) + " iteration " + std::to_string(i) +
                  " seed " + std::to_string(seed));
     const IterOutcome out = sharded_store
-                                ? run_sharded_iteration(seed, mode, group_commit)
-                                : run_iteration(seed, mode, group_commit);
+                                ? run_sharded_iteration(seed, mode, batch_fence)
+                                : run_iteration(seed, mode, batch_fence);
     fired += out.main_crash_fired ? 1 : 0;
     nested_fired += static_cast<std::uint64_t>(out.nested_crashes_fired);
     if (::testing::Test::HasFailure()) {
@@ -997,27 +963,28 @@ TEST(CrashTorture, DiscardModePersistentTowers) {
   run_shard("discard-towers", 400'000, pmem::CrashMode::kDiscardUnflushed);
 }
 
-// Group-commit shard: acked durability in phase 1 is provided by shared
-// cross-thread fences (the server's commit protocol, docs/write-path.md)
-// instead of per-op persists; the oracle's acked-writes-survive check now
-// gates the MOD write path + AckBatch + GroupCommit combination under
-// injected crashes, including crashes that strand waiters mid-window.
+// Batch-fence shard: acked durability in phase 1 is provided by the
+// server's ack path (deferred ack lines, one fence per batch,
+// docs/write-path.md) instead of per-op persists; the oracle's
+// acked-writes-survive check gates the MOD write path + AckBatch combination
+// under injected crashes, including crashes between a batch's last op and
+// its fence.
 TEST(CrashTorture, DiscardModeGroupCommit) {
-  run_shard("discard-groupcommit", 500'000,
-            pmem::CrashMode::kDiscardUnflushed, /*group_commit=*/true);
+  run_shard("discard-batchfence", 500'000,
+            pmem::CrashMode::kDiscardUnflushed, /*batch_fence=*/true);
 }
 
 // Sharded-store shard: the whole campaign against a 4-way ShardSet with
-// per-shard group committers — crashes land with in-flight mutations spread
+// batch-fenced mutations — crashes land with in-flight mutations spread
 // across shards, every reopen runs the parallel recovery and re-validates
 // the durable topology, and the leak/invariant checks run per shard.
 TEST(CrashTorture, DiscardModeShardedStore) {
   run_shard("discard-sharded", 600'000, pmem::CrashMode::kDiscardUnflushed,
-            /*group_commit=*/true, /*sharded_store=*/true);
+            /*batch_fence=*/true, /*sharded_store=*/true);
 }
 
 // Detectable-sessions shard: phase 1 runs pipelined detectable mutations
-// through the group committer, and the post-crash phase upgrades the oracle
+// in fenced batches, and the post-crash phase upgrades the oracle
 // from either-outcome to exactly-once — every un-acked op is resolved
 // through the durable session table, not-applied ops replay under the same
 // seq, and duplicate probes must return original results without

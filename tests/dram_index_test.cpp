@@ -30,6 +30,21 @@
 #include "test_util.hpp"
 
 namespace upsl {
+namespace core {
+
+/// Breaks an index on purpose so the structural check has something to find.
+struct DramIndexTestPeer {
+  /// Unlinks the slot-`level` successor of the node keyed `key`.
+  static void skip_next(DramIndex& d, std::uint64_t key, std::uint32_t level) {
+    DramIndex::IndexNode* n = DramIndex::slot_load(d.head_, level);
+    while (n->key != key) n = DramIndex::slot_load(n, level);
+    DramIndex::slot_store(
+        n, level, DramIndex::slot_load(DramIndex::slot_load(n, level), level));
+  }
+};
+
+}  // namespace core
+
 namespace {
 
 // ---- differential replay ---------------------------------------------------
@@ -334,6 +349,24 @@ TEST(DramIndex, TraversalCountersSplitByMode) {
   d = pmem::Stats::instance().snapshot() - t0;
   EXPECT_GT(d.index_hops, 0u);
   EXPECT_EQ(d.dram_node_visits, 0u);
+}
+
+TEST(DramIndex, CheckInvariantsCatchesANodeMissingFromALowerLevel) {
+  // Tall nodes at every third key; 30 sits on slots 0-2. Unlinking it from
+  // slot 0 alone leaves slot 1 holding a node the level below skips.
+  core::DramIndex d(8);
+  for (std::uint64_t k = 10; k <= 90; k += 10)
+    d.insert(k, k, nullptr, k % 30 == 0 ? 4 : 2);
+  EXPECT_NO_THROW(d.check_invariants());
+  core::DramIndexTestPeer::skip_next(d, 20, 0);
+  try {
+    d.check_invariants();
+    ADD_FAILURE() << "a node missing from slot 0 went unnoticed";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("missing from lower level"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "common/crashpoint.hpp"
 #include "pmem/ack_batch.hpp"
 #include "pmem/flush_set.hpp"
 #include "pmem/pool.hpp"
@@ -342,25 +343,27 @@ TEST_F(AckBatchTest, CommittedAcksSurviveCrash) {
 }
 
 TEST_F(AckBatchTest, TakenLinesAreNotDurableUntilTheGroupFence) {
-  // take_lines() models handing the batch to a group-commit ticket: the
-  // scope no longer owes durability, so a crash before the committer's
-  // fence drops the writes — exactly the unacked-op-in-flight semantics.
-  std::vector<const void*> lines;
+  // A crash between a batch's last op and its fence unwinds the scope
+  // without committing: the deferred lines were never flushed, so the
+  // writes are lost — exactly the unacked-op-in-flight semantics.
+  try {
+    AckBatch ab;
+    words_[0] = 5;
+    ack_persist(&words_[0], 8);
+    EXPECT_EQ(ab.lines(), 1u);
+    throw CrashException{};
+  } catch (const CrashException&) {
+  }
+  EXPECT_EQ(Stats::instance().fences.load(), 0u) << "no fence before commit";
+  pool_->simulate_crash();
+  EXPECT_EQ(words_[0], 0u) << "un-fenced batch lines must not survive";
+  // Once the batch fence commits the same write, it is durable.
   {
     AckBatch ab;
     words_[0] = 5;
     ack_persist(&words_[0], 8);
-    lines = ab.take_lines();
+    ab.commit_fenced();
   }
-  EXPECT_EQ(lines.size(), 1u);
-  EXPECT_EQ(Stats::instance().fences.load(), 0u) << "no fence before commit";
-  auto copy = lines;  // the committer's side of the handoff
-  pool_->simulate_crash();
-  EXPECT_EQ(words_[0], 0u) << "un-fenced ticket lines must not survive";
-  // After the committer flushes + fences, the line is durable.
-  words_[0] = 5;
-  flush_lines(copy.data(), copy.size());
-  fence();
   pool_->simulate_crash();
   EXPECT_EQ(words_[0], 5u);
 }

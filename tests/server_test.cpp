@@ -648,61 +648,38 @@ TEST(ServerLoopback, UnackedInFlightWriteIsAtomicAcrossCrash) {
     EXPECT_EQ(*v, kValue) << "in-flight PUT applied but torn";
 }
 
-// ---- cross-connection group commit ----------------------------------------
+// ---- batch ack fences -------------------------------------------------------
 
 TEST(ServerLoopback, GroupCommitStatsSurfaceInStatsVerb) {
-  if (std::getenv("UPSL_DISABLE_GROUP_COMMIT") != nullptr)
-    GTEST_SKIP() << "group commit disabled by env";
+  // Every mutating batch fences once on its worker; pmem's group-commit
+  // counters report those fences and the mutations they covered.
   ServerFixture f;
   ASSERT_TRUE(f.srv->group_commit_enabled());
+  EXPECT_EQ(f.srv->commit_window_us(), 0u);
+  const auto before = pmem::Stats::instance().snapshot();
   Client c = f.connect();
   std::vector<Response> resp;
   for (std::uint64_t k = 1; k <= 64; ++k) c.queue({Opcode::kPut, k, k});
   c.flush(&resp);
   ASSERT_EQ(resp.size(), 64u);
-  EXPECT_GE(f.srv->stats().group_commit_batches.load(), 1u)
-      << "acked mutation batches must have gone through the committer";
+  const auto d = pmem::Stats::instance().snapshot() - before;
+  EXPECT_GE(f.srv->stats().batch_fences.load(), 1u)
+      << "acked mutation batches must each have fenced";
+  EXPECT_EQ(d.group_commits, f.srv->stats().batch_fences.load());
+  EXPECT_EQ(d.group_commit_mutations, 64u);
   const std::string stats = c.stats_json();
   EXPECT_NE(stats.find("\"group_commit\""), std::string::npos) << stats;
   EXPECT_NE(stats.find("\"enabled\": true"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("group_commit_batches"), std::string::npos) << stats;
+  EXPECT_NE(stats.find("batch_fences"), std::string::npos) << stats;
   EXPECT_NE(stats.find("group_commit_batch_hist"), std::string::npos)
       << stats;
 }
 
-TEST(ServerLoopback, GroupCommitKillSwitchFallsBackToBatchFences) {
-  test::ScopedEnv off("UPSL_DISABLE_GROUP_COMMIT", "1");
-  ServerFixture f;
-  EXPECT_FALSE(f.srv->group_commit_enabled());
-  Client c = f.connect();
-  std::vector<Response> resp;
-  for (std::uint64_t k = 1; k <= 32; ++k) c.queue({Opcode::kPut, k, k});
-  c.flush(&resp);
-  ASSERT_EQ(resp.size(), 32u);
-  EXPECT_GE(f.srv->stats().batch_fences.load(), 1u);
-  EXPECT_EQ(f.srv->stats().group_commit_batches.load(), 0u);
-  const std::string stats = c.stats_json();
-  EXPECT_NE(stats.find("\"enabled\": false"), std::string::npos) << stats;
-}
-
-TEST(ServerLoopback, CommitWindowEnvOverride) {
-  test::ScopedEnv win("UPSL_COMMIT_WINDOW_US", "123");
-  ServerFixture f;
-  EXPECT_EQ(f.srv->commit_window_us(), 123u);
-  Client c = f.connect();
-  EXPECT_TRUE(c.put(1, 1).created);
-  EXPECT_EQ(c.get(1), std::optional<std::uint64_t>(1));
-}
-
 TEST(ServerLoopback, ReadsParkedBehindPendingAcksKeepFifoOrder) {
-  // With group commit on, a batch's responses park until the covering fence
-  // retires; later read-only batches on the same connection must queue
-  // behind the parked bytes (FIFO), and every read must see the write it
-  // followed.
-  if (std::getenv("UPSL_DISABLE_GROUP_COMMIT") != nullptr)
-    GTEST_SKIP() << "group commit disabled by env";
+  // Pipelined PUT/GET pairs: responses must come back in request order
+  // (FIFO), the PUT acks only after their batch's fence, and every read
+  // must see the write it followed.
   ServerFixture f(1);
-  ASSERT_TRUE(f.srv->group_commit_enabled());
   Client c = f.connect();
   std::vector<Response> resp;
   for (std::uint64_t round = 0; round < 20; ++round) {
@@ -722,8 +699,8 @@ TEST(ServerLoopback, ReadsParkedBehindPendingAcksKeepFifoOrder) {
 }
 
 TEST(ServerLoopback, GroupCommitDrainReleasesEveryParkedAck) {
-  // A drain racing parked acks must not lose responses: the worker waits on
-  // the committer barrier and flushes everything before exiting.
+  // Acks from two connections, then a drain and a crash: every acked write
+  // must have been fenced by its batch before the response left.
   ServerFixture f(2);
   Client a = f.connect();
   Client b = f.connect();

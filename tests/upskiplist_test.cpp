@@ -3,6 +3,8 @@
 // smoke tests. Crash-recovery behaviour has its own suite (crash_test.cpp).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <deque>
 #include <map>
 #include <thread>
 
@@ -464,6 +466,142 @@ TEST(UPSkipListConcurrent, ScanDifferentialUnderChurnDramIndex) {
 
 TEST(UPSkipListConcurrent, ScanDifferentialUnderChurnPersistentTowers) {
   scan_differential_under_churn(false);
+}
+
+// ---- bounded space under insert/remove churn -------------------------------
+
+/// The i-th fresh key of a churn stream: hashed, so inserts land all over
+/// the key space (never kNullKey, far below kTailKey).
+std::uint64_t churn_key(std::uint64_t stream, std::uint64_t i) {
+  return (mix64((stream << 40) + i + 1) >> 4) + 1;
+}
+
+std::uint64_t churn_value(std::uint64_t key) { return key ^ 0x5bd1e995ULL; }
+
+/// Unique-key churn at a fixed live size, like a cache or a session store:
+/// each step inserts a fresh key and removes the oldest live one. Removes
+/// only tombstone (§4.6), so without reuse every removed key keeps its slot
+/// and the list grows with the op count. A full node with a quarter of its
+/// slots dead compacts them in place instead of splitting, so the node count
+/// and the allocator's used blocks must stop growing.
+void churn_plateau(bool dram_index) {
+  test::ScopedEnv pin("UPSL_DISABLE_DRAM_INDEX", dram_index ? "0" : "1");
+  core::Options o = small_options(16, 12, 8);
+  o.dram_index = dram_index;
+  StoreHarness h(o, 1, /*crash_tracking=*/false);
+  ASSERT_EQ(h.store().dram_index_enabled(), dram_index);
+  UPSkipList& st = h.store();
+
+  constexpr std::uint64_t kLive = 2000;
+  constexpr std::uint64_t kSteps = 200'000;  // an insert and a remove each
+  std::deque<std::uint64_t> live;
+  std::size_t nodes_mid = 0;
+  std::size_t used_mid = 0;
+  for (std::uint64_t i = 0; i < kSteps; ++i) {
+    const std::uint64_t key = churn_key(0, i);
+    ASSERT_FALSE(st.insert(key, churn_value(key)).has_value()) << i;
+    live.push_back(key);
+    if (live.size() > kLive) {
+      ASSERT_EQ(st.remove(live.front()),
+                std::optional<std::uint64_t>(churn_value(live.front())));
+      live.pop_front();
+    }
+    if (i + 1 == kSteps / 2) {
+      nodes_mid = st.count_nodes();
+      used_mid = st.allocator().count_used_blocks();
+    }
+  }
+  const std::size_t nodes_end = st.count_nodes();
+  const std::size_t used_end = st.allocator().count_used_blocks();
+  // Nodes never merge, so the second half of the run (200k ops) may still
+  // split a node whose range happens to fill with live keys — a trickle that
+  // slows as ranges shrink — but the counts must not grow with the ops:
+  // without compaction they double, and the list holds ~4x more nodes than
+  // live keys instead of several live keys per node.
+  EXPECT_LE(nodes_end, nodes_mid + nodes_mid / 10)
+      << "nodes " << nodes_mid << " -> " << nodes_end;
+  EXPECT_LE(used_end, used_mid + used_mid / 10)
+      << "used blocks " << used_mid << " -> " << used_end;
+  EXPECT_LE(nodes_end, kLive / 2);
+  EXPECT_EQ(st.count_keys(), kLive);
+  for (const std::uint64_t k : live)
+    ASSERT_EQ(st.search(k), std::optional<std::uint64_t>(churn_value(k)));
+  st.check_invariants();
+}
+
+TEST(UPSkipListChurn, NodesAndBlocksPlateauDramIndex) { churn_plateau(true); }
+
+TEST(UPSkipListChurn, NodesAndBlocksPlateauPersistentTowers) {
+  churn_plateau(false);
+}
+
+/// Readers racing compactions: two writers churn their own key streams
+/// (every full node they hit is a quarter dead, so it compacts), while
+/// readers search and scan. A reader may miss a churned key, but must never
+/// return a value that belongs to another key, never miss a stable key, and
+/// never see keys out of order.
+TEST(UPSkipListChurn, ReadersNeverSeeAnotherKeysValueDuringCompaction) {
+  StoreHarness h(small_options(8, 12, 8), 1, /*crash_tracking=*/false);
+  UPSkipList& st = h.store();
+  constexpr std::uint64_t kStable = 300;
+  for (std::uint64_t i = 0; i < kStable; ++i)
+    st.insert(churn_key(9, i), churn_value(churn_key(9, i)));
+
+  constexpr std::uint64_t kSteps = 100'000;
+  constexpr std::uint64_t kLive = 200;
+  std::atomic<int> writers_left{2};
+  std::atomic<std::uint64_t> progress[2] = {0, 0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      ThreadRegistry::instance().bind(static_cast<int>(1 + w));
+      std::deque<std::uint64_t> live;
+      for (std::uint64_t i = 0; i < kSteps; ++i) {
+        const std::uint64_t key = churn_key(1 + w, i);
+        st.insert(key, churn_value(key));
+        live.push_back(key);
+        if (live.size() > kLive) {
+          st.remove(live.front());
+          live.pop_front();
+        }
+        progress[w].store(i, std::memory_order_relaxed);
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::atomic<std::uint64_t> bad{0};
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      ThreadRegistry::instance().bind(3 + r);
+      Xoshiro256 rng(77 + static_cast<std::uint64_t>(r));
+      std::vector<ScanEntry> out;
+      while (writers_left.load() > 0) {
+        // A key its writer removed moments ago: still a dead key in its
+        // node, so the next full-node insert there compacts it away.
+        const std::uint64_t w = rng.next_below(2);
+        const std::uint64_t done = progress[w].load(std::memory_order_relaxed);
+        const std::uint64_t back = kLive + rng.next_below(2 * kLive);
+        const std::uint64_t key =
+            churn_key(1 + w, done > back ? done - back : done);
+        if (const auto v = st.search(key); v && *v != churn_value(key))
+          bad.fetch_add(1);
+        const std::uint64_t stable = churn_key(9, rng.next_below(kStable));
+        if (st.search(stable) != churn_value(stable)) bad.fetch_add(1);
+        out.clear();
+        const std::uint64_t lo = rng.next() >> 4;
+        st.scan(lo, lo + (1ULL << 52), out);
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          if (out[i].value != churn_value(out[i].key)) bad.fetch_add(1);
+          if (i > 0 && out[i - 1].key >= out[i].key) bad.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  ThreadRegistry::instance().bind(0);
+  EXPECT_EQ(bad.load(), 0u);
+  EXPECT_EQ(st.count_keys(), kStable + 2 * kLive);
+  st.check_invariants();
 }
 
 TEST(UPSkipList, SortedSplitsMatchesReferenceModel) {
